@@ -17,15 +17,19 @@
 //! registry lookup cannot reproduce is a *forged* descriptor absorbed from a
 //! Byzantine peer, whose advertised identifier deliberately disagrees with the
 //! registry entry for its address — those survive the round-trip through a
-//! sparse per-table alias list that is empty on honest runs. The hot path
-//! therefore rehydrates a node into a scratch [`BootstrapNode`], runs the
+//! sparse per-table alias list that is empty on honest runs. The exchange hot
+//! path therefore rehydrates a node into a scratch [`BootstrapNode`], runs the
 //! unchanged fat algorithms, and packs the result back — byte-identical
-//! behaviour at a third of the memory.
+//! behaviour at a third of the memory. Read-only routing needs far less than
+//! a whole node (the leaf set plus one slot, for Pastry), so it reads the
+//! packed entries in place through a [`PackedView`].
 
 use crate::node::BootstrapNode;
+use crate::routing::{Contact, TableView};
 use bss_sim::network::NodeIndex;
 use bss_util::config::BootstrapParams;
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 
 /// Packs a simulation descriptor down to its registry index and timestamp.
@@ -71,19 +75,25 @@ fn pack_entries(
     }
 }
 
-/// Rehydrates a run of packed entries, substituting the advertised identifier
-/// wherever an alias was recorded. Aliases are stored in ascending position
-/// order, so a single cursor keeps the honest fast path alias-free.
+/// Rehydrates a run of packed entries that starts at table position `first`,
+/// substituting the advertised identifier wherever an alias was recorded.
+/// Aliases are stored in ascending position order, so a single cursor keeps
+/// the honest fast path alias-free; aliases before the run are skipped and
+/// those past it are never reached.
 fn unpack_entries<'a>(
     entries: &'a [PackedDescriptor],
+    first: usize,
     aliases: &'a [Alias],
     ids: &'a [NodeId],
 ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
-    let mut pending = aliases.iter().copied().peekable();
-    entries.iter().enumerate().map(move |(position, &p)| {
+    let skip = aliases.partition_point(|&(position, _)| usize::from(position) < first);
+    let mut pending = aliases[skip..].iter().copied().peekable();
+    entries.iter().enumerate().map(move |(offset, &p)| {
         let descriptor = unpack_descriptor(p, ids);
         match pending.peek() {
-            Some(&(alias_position, advertised)) if usize::from(alias_position) == position => {
+            Some(&(alias_position, advertised))
+                if usize::from(alias_position) == first + offset =>
+            {
                 pending.next();
                 Descriptor::new(advertised, descriptor.address(), descriptor.timestamp())
             }
@@ -172,12 +182,12 @@ impl CompactNode {
         scratch.restore_header(own, self.exchanges_initiated, self.descriptors_received);
         scratch.leaf_set_mut().restore_from(
             own_id,
-            unpack_entries(&self.leaf, &self.leaf_aliases, ids),
+            unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids),
             usize::from(self.leaf_split),
         );
         scratch.prefix_table_mut().restore_from(
             own_id,
-            unpack_entries(&self.prefix_store, &self.prefix_aliases, ids),
+            unpack_entries(&self.prefix_store, 0, &self.prefix_aliases, ids),
             self.prefix_offsets.iter().map(|&offset| u32::from(offset)),
         );
     }
@@ -212,12 +222,75 @@ impl CompactNode {
         &'a self,
         ids: &'a [NodeId],
     ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
-        unpack_entries(&self.leaf, &self.leaf_aliases, ids)
+        unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids)
     }
 
     /// The packed prefix-table entries in slot order.
     pub fn prefix_entries(&self) -> &[PackedDescriptor] {
         &self.prefix_store
+    }
+
+    /// A read-only routing view of this node, which holds `own_id` in a run
+    /// whose shared arena is `ids` and whose tables have `geometry`. Routing
+    /// reads the packed entries through it without rehydrating the node.
+    pub fn view<'a>(
+        &'a self,
+        own_id: NodeId,
+        ids: &'a [NodeId],
+        geometry: TableGeometry,
+    ) -> PackedView<'a> {
+        PackedView {
+            node: self,
+            own_id,
+            ids,
+            geometry,
+        }
+    }
+}
+
+/// A [`TableView`] straight over one packed node: each contact is resolved
+/// from its registry index on demand, and forged identifiers come from the
+/// alias lists exactly as [`CompactNode::leaf_descriptors`] reports them.
+/// Built by [`CompactNode::view`]; the live lookup router reads every hop
+/// through one.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedView<'a> {
+    node: &'a CompactNode,
+    own_id: NodeId,
+    ids: &'a [NodeId],
+    geometry: TableGeometry,
+}
+
+impl TableView for PackedView<'_> {
+    fn own_id(&self) -> NodeId {
+        self.own_id
+    }
+
+    fn geometry(&self) -> TableGeometry {
+        self.geometry
+    }
+
+    fn leaf_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        self.node.leaf_descriptors(self.ids).map(Contact::from)
+    }
+
+    fn prefix_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        let node = self.node;
+        unpack_entries(&node.prefix_store, 0, &node.prefix_aliases, self.ids).map(Contact::from)
+    }
+
+    fn slot_contacts(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> + '_ {
+        let node = self.node;
+        let slot = self.geometry.slot_index(row, column);
+        let start = usize::from(node.prefix_offsets[slot]);
+        let end = usize::from(node.prefix_offsets[slot + 1]);
+        unpack_entries(
+            &node.prefix_store[start..end],
+            start,
+            &node.prefix_aliases,
+            self.ids,
+        )
+        .map(Contact::from)
     }
 }
 
@@ -359,6 +432,114 @@ mod tests {
                                 "slot ({}, {}) differs after round-trip",
                                 row,
                                 column
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    mod routing_equivalence {
+        use super::*;
+        use crate::leafset::MergeScratch;
+        use crate::routing::{next_hop, RouterKind};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Routing over the packed view decides every hop exactly as
+            /// routing over the rehydrated node: same next contact (advertised
+            /// identifier and address) under all three routers, on reachable
+            /// states that mix honest descriptors with forgeries — some
+            /// crowding the node's own vicinity (leaf-set aliases), some
+            /// anywhere on the ring (prefix-table aliases) — with and without
+            /// descriptor aging. Targets cover the leaf set, the prefix table,
+            /// the node itself and identifiers it has never heard of.
+            #[test]
+            fn packed_view_routes_like_the_unpacked_node(
+                network_seed in any::<u64>(),
+                network_size in 8u32..128,
+                node_raw in 0u32..8,
+                max_age in 0u64..12,
+                batches in prop::collection::vec(
+                    prop::collection::vec((0u32..128, 0u64..40, 0u8..4, any::<u64>()), 1..8),
+                    1..12,
+                ),
+                strangers in prop::collection::vec(any::<u64>(), 4),
+            ) {
+                let mut rng = SimRng::seed_from(network_seed);
+                let network = Network::with_random_ids(network_size as usize, &mut rng);
+                let mut ids: Vec<NodeId> = Vec::new();
+                network.sync_id_arena(&mut ids);
+                // An age bound of zero stands for "no aging".
+                let params = BootstrapParams {
+                    descriptor_max_age: (max_age > 0).then_some(max_age),
+                    ..params()
+                };
+                let geometry = params.geometry().unwrap();
+                let node = NodeIndex::new(node_raw % network_size);
+                let own_id = ids[node.as_usize()];
+                let mut state =
+                    BootstrapNode::new(network.descriptor(node, 0), &params).unwrap();
+                let mut scratch = scratch_node(&params);
+                let mut merge = MergeScratch::default();
+                for (now, batch) in batches.iter().enumerate() {
+                    let descriptors: Vec<Descriptor<NodeIndex>> = batch
+                        .iter()
+                        .map(|&(target, timestamp, forge, salt)| {
+                            let honest = network.descriptor(
+                                NodeIndex::new(target % network_size),
+                                timestamp,
+                            );
+                            let forged_id = match forge {
+                                0 => own_id.raw().wrapping_add(salt % 64 + 1),
+                                1 => salt,
+                                _ => return honest,
+                            };
+                            Descriptor::new(
+                                NodeId::new(forged_id),
+                                honest.address(),
+                                timestamp,
+                            )
+                        })
+                        .collect();
+                    state.receive_at(&descriptors, now as u64, &mut merge);
+
+                    // Pastry's rule 1 searches only the target's own slot;
+                    // that is sound because every entry, forged or not, sits
+                    // in the slot of its advertised identifier.
+                    for row in 0..geometry.rows() {
+                        for column in 0..geometry.columns() as u8 {
+                            for entry in state.prefix_table().slot(row, column) {
+                                prop_assert_eq!(
+                                    geometry.slot_of(own_id, entry.id()),
+                                    Some((row, column))
+                                );
+                            }
+                        }
+                    }
+
+                    let packed = CompactNode::pack(&state, &ids);
+                    packed.unpack_into(node, &ids, &mut scratch);
+                    let view = packed.view(own_id, &ids, geometry);
+                    let targets = state
+                        .leaf_set()
+                        .iter()
+                        .chain(state.prefix_table().iter())
+                        .map(|d| d.id())
+                        .chain([own_id])
+                        .chain(strangers.iter().map(|&raw| NodeId::new(raw)))
+                        .chain(ids.iter().copied());
+                    for target in targets {
+                        for kind in RouterKind::ALL {
+                            prop_assert_eq!(
+                                next_hop(kind, &view, target),
+                                next_hop(kind, &scratch, target),
+                                "{} towards {}",
+                                kind,
+                                target
                             );
                         }
                     }

@@ -368,10 +368,16 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         self.nodes.get(node.as_usize()).and_then(Option::as_ref)
     }
 
+    /// The shared index→identifier arena the packed nodes resolve against —
+    /// what a [`CompactNode::view`] needs to read a node's tables in place.
+    pub fn id_arena(&self) -> &[NodeId] {
+        &self.ids
+    }
+
     /// Rehydrates `node`'s packed state into `scratch` without allocating,
-    /// returning `false` when the node holds no protocol state. This is the
-    /// accessor the live traffic router resolves hops through: it sees the
-    /// tables exactly as they are *this* cycle.
+    /// returning `false` when the node holds no protocol state — the tables
+    /// exactly as they are *this* cycle (the per-region measurement pass
+    /// reads them this way).
     pub fn unpack_node_into(
         &self,
         node: NodeIndex,

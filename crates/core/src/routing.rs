@@ -7,13 +7,17 @@
 //! ([`crate::traffic`]) routes the same way against nodes' *current* tables
 //! mid-run. To keep the two byte-identical this module holds the per-hop
 //! decision functions once — `bss_overlay`'s `next_hop` / `xor_next_hop` are
-//! thin wrappers over [`next_hop`] here — plus the [`TableSource`] abstraction
-//! and the shared iterative [`route`] loop that walks either a snapshot or the
-//! live packed population.
+//! thin wrappers over [`next_hop`] here — written against the read-only
+//! [`TableView`] that both a fat [`BootstrapNode`] and a packed
+//! [`CompactNode`](crate::compact::CompactNode) provide, plus the
+//! [`TableSource`] abstraction and the shared iterative [`route`] loop that
+//! walks either a snapshot or the live packed population.
 
 use crate::experiment::PopulationSnapshot;
 use crate::node::BootstrapNode;
 use bss_sim::network::NodeIndex;
+use bss_util::descriptor::Descriptor;
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use std::fmt;
 
@@ -61,13 +65,98 @@ pub struct Contact {
     pub address: NodeIndex,
 }
 
+/// The read-only slice of one node's tables a routing decision reads: its own
+/// identifier, its prefix-table geometry and its contacts in storage order.
+/// The fat [`BootstrapNode`] implements it for snapshots and `bss-overlay`;
+/// [`PackedView`](crate::compact::PackedView) implements it straight over the
+/// live packed population. Each routing rule below is written once against
+/// this view, so the snapshot routers and live traffic cannot drift apart.
+pub trait TableView {
+    /// The identifier the viewed node holds.
+    fn own_id(&self) -> NodeId;
+
+    /// The prefix-table geometry.
+    fn geometry(&self) -> TableGeometry;
+
+    /// The leaf-set contacts: successors first, then predecessors.
+    fn leaf_contacts(&self) -> impl Iterator<Item = Contact> + '_;
+
+    /// Every prefix-table contact, in slot order.
+    fn prefix_contacts(&self) -> impl Iterator<Item = Contact> + '_;
+
+    /// The contacts of one prefix-table slot, in insertion order.
+    fn slot_contacts(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> + '_;
+
+    /// Every known contact: the leaf set, then the prefix table.
+    fn contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        self.leaf_contacts().chain(self.prefix_contacts())
+    }
+}
+
+impl<T: TableView + ?Sized> TableView for &T {
+    fn own_id(&self) -> NodeId {
+        (**self).own_id()
+    }
+
+    fn geometry(&self) -> TableGeometry {
+        (**self).geometry()
+    }
+
+    fn leaf_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        (**self).leaf_contacts()
+    }
+
+    fn prefix_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        (**self).prefix_contacts()
+    }
+
+    fn slot_contacts(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> + '_ {
+        (**self).slot_contacts(row, column)
+    }
+}
+
+impl From<Descriptor<NodeIndex>> for Contact {
+    fn from(descriptor: Descriptor<NodeIndex>) -> Self {
+        Contact {
+            id: descriptor.id(),
+            address: descriptor.address(),
+        }
+    }
+}
+
+impl TableView for BootstrapNode<NodeIndex> {
+    fn own_id(&self) -> NodeId {
+        self.id()
+    }
+
+    fn geometry(&self) -> TableGeometry {
+        self.prefix_table().geometry()
+    }
+
+    fn leaf_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        self.leaf_set().iter().copied().map(Contact::from)
+    }
+
+    fn prefix_contacts(&self) -> impl Iterator<Item = Contact> + '_ {
+        self.prefix_table().iter().copied().map(Contact::from)
+    }
+
+    fn slot_contacts(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> + '_ {
+        self.prefix_table()
+            .slot(row, column)
+            .iter()
+            .copied()
+            .map(Contact::from)
+    }
+}
+
 /// Chooses the next hop from `node` towards `target` under `kind`'s rules.
 /// Returns `None` when no known contact improves on the node itself. This is
 /// THE routing step: `bss_overlay`'s snapshot routers and the live traffic
 /// driver both call it, so their per-hop decisions cannot drift apart.
-pub fn next_hop(
+pub fn next_hop<V: TableView + ?Sized>(
     kind: RouterKind,
-    node: &BootstrapNode<NodeIndex>,
+    node: &V,
     target: NodeId,
 ) -> Option<Contact> {
     match kind {
@@ -79,75 +168,56 @@ pub fn next_hop(
 
 /// Pastry's three rules: deliver to an exactly-known contact, else descend the
 /// prefix table, else (the "rare case") hop to any strictly closer contact.
-fn pastry_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
-    let own = node.id();
-    if own == target {
-        return None;
-    }
-    let bits = node.geometry().bits_per_digit();
+fn pastry_next_hop<V: TableView + ?Sized>(node: &V, target: NodeId) -> Option<Contact> {
+    let own = node.own_id();
+    let geometry = node.geometry();
+    // The slot the target belongs to. `PrefixTable::insert` files every entry
+    // under the slot of its advertised identifier, so no other slot can hold
+    // the target, and rule 2 reads this same slot.
+    let (row, column) = geometry.slot_of(own, target)?;
 
     // Rule 1: the exact target is already a known contact.
-    if let Some(d) = node
-        .leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .find(|d| d.id() == target)
+    if let Some(contact) = node
+        .leaf_contacts()
+        .chain(node.slot_contacts(row, column))
+        .find(|c| c.id == target)
     {
-        return Some(Contact {
-            id: target,
-            address: d.address(),
-        });
+        return Some(contact);
     }
 
     // Rule 2: the slot the target belongs to holds an entry sharing a strictly
     // longer prefix with the target than we do.
-    let own_prefix = own.common_prefix_len(target, bits);
-    let row = own_prefix;
-    let column = target.digit(row, bits);
-    if let Some(entry) = node.prefix_table().slot(row, column).first() {
-        return Some(Contact {
-            id: entry.id(),
-            address: entry.address(),
-        });
+    if let Some(entry) = node.slot_contacts(row, column).next() {
+        return Some(entry);
     }
 
     // Rule 3 (the "rare case" in Pastry): any known contact that is strictly
     // closer to the target than the current node — longer shared prefix, or equal
     // prefix but numerically closer on the ring.
+    let bits = geometry.bits_per_digit();
+    let own_prefix = row;
     let own_distance = own.ring_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| {
-            let prefix = d.id().common_prefix_len(target, bits);
+    node.contacts()
+        .filter(|c| {
+            let prefix = c.id.common_prefix_len(target, bits);
             prefix > own_prefix
-                || (prefix == own_prefix && d.id().ring_distance(target) < own_distance)
+                || (prefix == own_prefix && c.id.ring_distance(target) < own_distance)
         })
-        .min_by_key(|d| {
+        .min_by_key(|c| {
             (
-                usize::MAX - d.id().common_prefix_len(target, bits),
-                d.id().ring_distance(target),
+                usize::MAX - c.id.common_prefix_len(target, bits),
+                c.id.ring_distance(target),
             )
-        })
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
         })
 }
 
 /// Kademlia's rule: the known contact XOR-closest to the target, provided it
 /// is strictly closer than the node itself.
-fn kademlia_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
-    let own_distance = node.id().xor_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| d.id().xor_distance(target) < own_distance)
-        .min_by_key(|d| d.id().xor_distance(target))
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
-        })
+fn kademlia_next_hop<V: TableView + ?Sized>(node: &V, target: NodeId) -> Option<Contact> {
+    let own_distance = node.own_id().xor_distance(target);
+    node.contacts()
+        .filter(|c| c.id.xor_distance(target) < own_distance)
+        .min_by_key(|c| c.id.xor_distance(target))
 }
 
 /// Chord's rule over live tables: the known contact that advances furthest
@@ -155,40 +225,34 @@ fn kademlia_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<
 /// remaining clockwise distance, so the descent terminates. (The ideal-ring
 /// baseline with global fingers lives in `bss_overlay::ChordRing`; this is
 /// what a Chord node can do with only its own bootstrapped tables.)
-fn chord_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
-    let own = node.id();
+fn chord_next_hop<V: TableView + ?Sized>(node: &V, target: NodeId) -> Option<Contact> {
+    let own = node.own_id();
     if own == target {
         return None;
     }
     let to_target = own.clockwise_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| {
-            let advance = own.clockwise_distance(d.id());
+    node.contacts()
+        .filter(|c| {
+            let advance = own.clockwise_distance(c.id);
             advance > 0 && advance <= to_target
         })
-        .max_by_key(|d| own.clockwise_distance(d.id()))
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
-        })
+        .max_by_key(|c| own.clockwise_distance(c.id))
 }
 
 /// Where the iterative [`route`] loop reads node tables from: the live packed
-/// population mid-run, or a frozen [`PopulationSnapshot`] after it. The
-/// closure shape (instead of returning a reference) lets the live source
-/// rehydrate packed state into one reusable scratch node per call.
+/// population mid-run, or a frozen [`PopulationSnapshot`] after it. Either
+/// way a hop resolves to a borrowed [`TableView`], so no table is copied.
 pub trait TableSource {
-    /// Runs `f` over the current table state of the node `contact` points at,
-    /// or returns `None` when the contact resolves to nothing that answers to
-    /// `contact.id` (a dead node, an uninitialised slot, or a forged
-    /// identifier) — the hop fails and the lookup with it.
-    fn with_node<R>(
-        &mut self,
-        contact: Contact,
-        f: impl FnOnce(&BootstrapNode<NodeIndex>) -> R,
-    ) -> Option<R>;
+    /// The view a resolved node's tables are read through.
+    type View<'a>: TableView
+    where
+        Self: 'a;
+
+    /// The current tables of the node `contact` points at, or `None` when the
+    /// contact resolves to nothing that answers to `contact.id` (a dead node,
+    /// an uninitialised slot, or a forged identifier) — the hop fails and the
+    /// lookup with it.
+    fn resolve(&self, contact: Contact) -> Option<Self::View<'_>>;
 }
 
 /// A [`TableSource`] over a frozen post-run snapshot: contacts resolve by
@@ -197,12 +261,13 @@ pub trait TableSource {
 pub struct SnapshotTables<'a>(pub &'a PopulationSnapshot);
 
 impl TableSource for SnapshotTables<'_> {
-    fn with_node<R>(
-        &mut self,
-        contact: Contact,
-        f: impl FnOnce(&BootstrapNode<NodeIndex>) -> R,
-    ) -> Option<R> {
-        self.0.node_by_id(contact.id).map(f)
+    type View<'a>
+        = &'a BootstrapNode<NodeIndex>
+    where
+        Self: 'a;
+
+    fn resolve(&self, contact: Contact) -> Option<Self::View<'_>> {
+        self.0.node_by_id(contact.id)
     }
 }
 
@@ -260,11 +325,11 @@ pub fn route<T: TableSource>(
     let end = loop {
         let hops = (path.len() - 1) as u64;
         let current = *path.last().expect("path holds at least the source");
-        let step = tables.with_node(current, |node| {
-            if node.id() == target {
+        let step = tables.resolve(current).map(|node| {
+            if node.own_id() == target {
                 None
             } else {
-                Some(next_hop(kind, node, target))
+                Some(next_hop(kind, &node, target))
             }
         });
         break match step {

@@ -6,10 +6,12 @@
 //! for a frozen post-run snapshot; this module proves it *during* the run.
 //! [`LookupTraffic`] drives an open-loop workload — a configured number of
 //! lookups per cycle, keys drawn uniformly or Zipf-skewed — and resolves every
-//! lookup iteratively against nodes' **current** tables through
-//! [`BootstrapProtocol::unpack_node_into`], so routing quality degrades when a
-//! churn burst or an id-spray attack corrupts the tables and recovers as the
-//! protocol repairs them.
+//! lookup iteratively against nodes' **current** tables, so routing quality
+//! degrades when a churn burst or an id-spray attack corrupts the tables and
+//! recovers as the protocol repairs them. Each hop reads the node's packed
+//! state in place through a [`PackedView`] over
+//! [`BootstrapProtocol::id_arena`]; no node is rehydrated, so a Pastry hop
+//! touches only the leaf set and the one prefix slot the target belongs to.
 //!
 //! Per measured cycle the driver folds its window counters into six series on
 //! the [`RunReport`](crate::experiment::RunReport): lookup success rate, hop
@@ -31,8 +33,8 @@
 //! streams. Lookups run in the sequential observer phase of every engine, so
 //! the parallel cycle engine stays bit-for-bit identical at any thread count.
 
+use crate::compact::PackedView;
 use crate::experiment::ExperimentConfig;
-use crate::node::BootstrapNode;
 use crate::protocol::BootstrapProtocol;
 use crate::routing::{route, Contact, RouterKind, TableSource, DEFAULT_MAX_HOPS};
 use crate::scenario::{KeyDist, LatencyModel, Phase};
@@ -40,8 +42,7 @@ use bss_sampling::sampler::PeerSampler;
 use bss_sim::engine::cycle::EngineContext;
 use bss_sim::link::WanLink;
 use bss_sim::network::{Network, NodeIndex};
-use bss_util::descriptor::Descriptor;
-use bss_util::id::NodeId;
+use bss_util::geometry::TableGeometry;
 use bss_util::rng::SimRng;
 use bss_util::stats::{Series, StreamingHistogram};
 
@@ -53,28 +54,28 @@ pub const TRAFFIC_SALT: u64 = 0x7472_6166_6669_6321;
 /// A [`TableSource`] over the live packed population: contacts resolve by
 /// registry address and must answer to the identifier the descriptor
 /// advertised — a node that is dead, uninitialised, or holds a different
-/// identifier (a forged id-spray descriptor) fails the hop.
+/// identifier (a forged id-spray descriptor) fails the hop. A resolved hop is
+/// a [`PackedView`] borrowed from the protocol's packed store.
 struct LiveTables<'a, S: PeerSampler> {
     protocol: &'a BootstrapProtocol<S>,
     network: &'a Network,
-    scratch: &'a mut BootstrapNode<NodeIndex>,
+    geometry: TableGeometry,
 }
 
 impl<S: PeerSampler> TableSource for LiveTables<'_, S> {
-    fn with_node<R>(
-        &mut self,
-        contact: Contact,
-        f: impl FnOnce(&BootstrapNode<NodeIndex>) -> R,
-    ) -> Option<R> {
-        if !self.network.is_alive(contact.address)
-            || !self
-                .protocol
-                .unpack_node_into(contact.address, self.scratch)
-            || self.scratch.id() != contact.id
-        {
+    type View<'a>
+        = PackedView<'a>
+    where
+        Self: 'a;
+
+    fn resolve(&self, contact: Contact) -> Option<PackedView<'_>> {
+        if !self.network.is_alive(contact.address) {
             return None;
         }
-        Some(f(self.scratch))
+        let packed = self.protocol.packed_node(contact.address)?;
+        let ids = self.protocol.id_arena();
+        (ids[contact.address.as_usize()] == contact.id)
+            .then(|| packed.view(contact.id, ids, self.geometry))
     }
 }
 
@@ -229,7 +230,6 @@ pub struct LookupTraffic {
     phases: Vec<(Phase, u32, KeyDist)>,
     latency: LatencyModel,
     rng: SimRng,
-    scratch: BootstrapNode<NodeIndex>,
     path: Vec<Contact>,
     /// The alive population, rebuilt each active cycle in ascending registry
     /// order (so Zipf rank 0 is registry index 0 — the id-spray attack's
@@ -267,16 +267,12 @@ impl LookupTraffic {
         // bucket.
         let (_, max_millis) = latency.bounds();
         let bucket_width = max_millis.max(1);
-        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-        let scratch =
-            BootstrapNode::new(placeholder, &config.params).expect("config validated by builder");
         Some(LookupTraffic {
             router: config.traffic_router,
             phases: config.scenario.traffic_phases().collect(),
             wan: WanTraffic::for_config(config, &latency, bucket_width),
             latency,
             rng: SimRng::seed_from(config.seed ^ TRAFFIC_SALT),
-            scratch,
             path: Vec::with_capacity(DEFAULT_MAX_HOPS + 1),
             alive: Vec::with_capacity(config.network_size),
             zipf_cumulative: Vec::new(),
@@ -333,7 +329,6 @@ impl LookupTraffic {
             router,
             latency,
             rng,
-            scratch,
             path,
             alive,
             zipf_cumulative,
@@ -346,7 +341,10 @@ impl LookupTraffic {
         let mut tables = LiveTables {
             protocol,
             network: &ctx.network,
-            scratch,
+            geometry: protocol
+                .params()
+                .geometry()
+                .expect("parameters validated by the protocol"),
         };
         for _ in 0..rate {
             let source = alive[rng.index(alive.len())];

@@ -7,10 +7,12 @@
 //!
 //! 1. **Component reference** — the leaf-set half of the bootstrapping service is a
 //!    specialisation of T-Man with a ring ranking function; having the generic
-//!    protocol lets the tests compare the two.
+//!    protocol lets the two be compared side by side.
 //! 2. **Ablation baseline** — running plain T-Man (ring construction only, no
 //!    prefix-table feedback) quantifies how much the paper's mutual-boosting design
-//!    buys (reported by the `ablation` experiment binary).
+//!    buys. No experiment binary reports that number yet: `bss-bench` does not
+//!    depend on this crate, and its `ablation` binary sweeps only the bootstrap
+//!    protocol's own parameters (`cr`, `c`, sampler, loss).
 //!
 //! Modules:
 //!
